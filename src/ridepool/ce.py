@@ -41,9 +41,6 @@ class ExchangeGraph:
     arcs: dict[tuple, float] = field(default_factory=dict)
     removal_gain: dict[object, float] = field(default_factory=dict)  # node -> T
 
-    def out_arcs(self, u):
-        return sorted((v, w) for (a, v), w in self.arcs.items() if a == u)
-
     def build_adjacency(self):
         adj: dict[object, list] = {u: [] for u in self.nodes}
         for (a, b), w in sorted(self.arcs.items(), key=lambda kv: (repr(kv[0][0]), repr(kv[0][1]))):

@@ -84,6 +84,8 @@ class RestrictedMaster:
         return float(sol.objective), Duals(pi, sigma)
 
     def solve_ilp(self):
+        if not self.columns:  # nothing to choose from: every vehicle keeps its status quo
+            return []
         sol = bnb_solve(self._problem(integral=True),
                         node_limit=self.state.config.node_limit)
         chosen = [t for j, t in enumerate(self.columns) if sol.x is not None and sol.x[j] > 0.5]

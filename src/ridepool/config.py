@@ -38,7 +38,6 @@ class SimConfig:
     ce_u: float | None = None        # defaults to penalty_m
     ce_labels_per_node: int = 1
     rebalance_enabled: bool = True
-    threads: int = 1
     seed: int = 0
 
     @property
@@ -89,7 +88,6 @@ CONFIG_KEYS: dict[str, tuple[str, callable, str]] = {
     "ce.U": ("ce_u", _opt_float, "cyclic-exchange served-request value; default = solver.penalty_M"),
     "ce.labels_per_node": ("ce_labels_per_node", int, "paths kept per node in the cycle search (default 1)"),
     "rebalance.enabled": ("rebalance_enabled", _bool, "relocate idle vehicles after each assignment (default true)"),
-    "threads": ("threads", int, "oracle-call fan-out degree (default 1)"),
     "seed": ("seed", int, "random seed for synthetic demand"),
 }
 
@@ -118,8 +116,6 @@ def _validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("la.carryover_kappa must be >= 1")
     if cfg.ce_labels_per_node < 1:
         raise ConfigError("ce.labels_per_node must be >= 1")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     return cfg
 
 

@@ -92,16 +92,6 @@ class Event:
     node: int
 
 
-@dataclass(frozen=True)
-class EpochConfig:
-    interval: float = 60.0
-    horizon: float = 3600.0
-
-    def __post_init__(self):
-        if not (0 < self.interval <= self.horizon):
-            raise DataError("need 0 < interval <= horizon")
-
-
 class _Timeline:
     """Absolute motion plan: piecewise segments plus timed stop events."""
 
@@ -271,11 +261,6 @@ class VehicleState:
         if dt > 0:
             self.version += 1
         return events
-
-
-def advance_vehicle(net: Network, vehicle: VehicleState, dt: float, now: float):
-    events = vehicle.advance(net, dt, now)
-    return vehicle, events
 
 
 def make_vehicle(vehicle_id: int, start_node: int, capacity: int = 4) -> VehicleState:

@@ -74,11 +74,6 @@ class RouteMemory:
     def put(self, vehicle_id: int, stop_keys):
         self._routes[vehicle_id] = tuple(stop_keys)
 
-    def copy(self) -> "RouteMemory":
-        m = RouteMemory()
-        m._routes = dict(self._routes)
-        return m
-
 
 # -- plan items ---------------------------------------------------------------
 

@@ -4,7 +4,6 @@ container with a uniform objective so algorithms compare on one scale."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .config import SimConfig
@@ -63,15 +62,6 @@ class EpochState:
         """(Route | None, absolute cost) for serving exactly these new ids."""
         extra = tuple(self.requests[r] for r in sorted(request_ids))
         return self.oracle.best_route(vehicle, extra, self.drops(vehicle), self.now)
-
-    def fanout(self, fn, items):
-        """Deterministic map over independent oracle calls; results come back
-        in submission order regardless of the worker count."""
-        items = list(items)
-        if self.config.threads <= 1 or len(items) <= 1:
-            return [fn(it) for it in items]
-        with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
-            return list(pool.map(fn, items))
 
 
 def evaluate_objective(state: EpochState, solution: AssignmentSolution) -> float:

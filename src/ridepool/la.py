@@ -95,8 +95,7 @@ def build_bipartite(rnd: _Round) -> list[AssignEdge]:
     m = state.config.penalty_m
     kappa = state.config.carryover_kappa
 
-    def probe(pair):
-        vid, rid = pair
+    def probe(vid, rid):
         base = rnd.plan_cost(vid)
         if base == INF:
             return None
@@ -107,8 +106,9 @@ def build_bipartite(rnd: _Round) -> list[AssignEdge]:
         scale = kappa * m if rid in state.carried else m
         return AssignEdge(rid, vid, delta, scale - delta)
 
-    pairs = [(vid, rid) for vid in sorted(rnd.assigned) for rid in sorted(rnd.pool)]
-    return [e for e in state.fanout(probe, pairs) if e is not None]
+    pool = sorted(rnd.pool)
+    edges = [probe(vid, rid) for vid in sorted(rnd.assigned) for rid in pool]
+    return [e for e in edges if e is not None]
 
 
 def solve_assignment_matching(edges: list[AssignEdge]) -> list[AssignEdge]:

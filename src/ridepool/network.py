@@ -1,10 +1,13 @@
 """Road network with a memoized shortest-path oracle.
 
-The network is read-only after loading. Shortest-path queries run one full
-Dijkstra per source and memoize distances and predecessors; the assignment
-algorithms hammer the same sources, so the memo dominates runtime savings.
-The memo fill is idempotent (recomputing a source yields the same maps), so
-concurrent queries are safe without locking under CPython.
+The network is read-only once `finish()` has run (the first query runs it if
+the builder did not): `add_node` and `add_arc` raise afterwards, so a
+memoized distance can never go stale. Shortest-path queries run one full
+Dijkstra per source and memoize its distances and predecessors; the
+assignment algorithms hammer the same sources, so the memo dominates runtime
+savings. The searches run over a dense node index (each node id's rank in
+sorted id order), built on the first memo miss, and each memoized source
+holds one `array` row of distances and one of predecessor ranks.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
 INF = math.inf
@@ -31,21 +35,32 @@ class Network:
     def __init__(self):
         self.coords: dict[int, tuple[float, float] | None] = {}
         self.adjacency: dict[int, list[tuple[int, float, float]]] = {}
-        # source -> ({node: dist}, {node: predecessor})
-        self._sp: dict[int, tuple[dict[int, float], dict[int, int]]] = {}
+        self._finished = False
+        # dense index, built on the first memo miss: node id -> rank, rank ->
+        # node id, and per rank the sorted (rank, travel_time) out-arcs
+        self._rank: dict[int, int] | None = None
+        self._ids: list[int] = []
+        self._out: list[list[tuple[int, float]]] = []
+        # source id -> (dist, pred) indexed by rank; pred -1 = no predecessor
+        self._sp: dict[int, tuple[array, array]] = {}
 
     # -- construction -----------------------------------------------------
 
     def add_node(self, node_id: int, xy: tuple[float, float] | None = None):
+        if self._finished:
+            raise NetworkError("network is read-only after finish()")
         if node_id in self.coords:
             raise NetworkError(f"duplicate node {node_id}")
         self.coords[node_id] = xy
         self.adjacency[node_id] = []
 
     def add_arc(self, u: int, v: int, travel_time: float, length_m: float | None = None):
-        for n in (u, v):
-            if n not in self.coords:
-                raise NetworkError(f"unknown node {n}")
+        if self._finished:
+            raise NetworkError("network is read-only after finish()")
+        if u not in self.coords:
+            raise NetworkError(f"unknown node {u}")
+        if v not in self.coords:
+            raise NetworkError(f"unknown node {v}")
         if not (travel_time >= 0.0) or not math.isfinite(travel_time):
             raise NetworkError(f"bad travel time {travel_time} on arc {u}->{v}")
         if length_m is None:
@@ -60,9 +75,11 @@ class Network:
         arcs.append((v, travel_time, length_m))
 
     def finish(self):
-        """Sort adjacency lists so Dijkstra tie-breaking is reproducible."""
+        """Sort adjacency lists so Dijkstra tie-breaking is reproducible, and
+        close the network to further changes."""
         for u in self.adjacency:
             self.adjacency[u].sort()
+        self._finished = True
         self._sp.clear()
         return self
 
@@ -79,50 +96,74 @@ class Network:
 
     # -- shortest paths ----------------------------------------------------
 
+    def _build_index(self):
+        if not self._finished:
+            self.finish()
+        ids = sorted(self.coords)
+        rank = {v: i for i, v in enumerate(ids)}
+        self._ids = ids
+        self._out = [[(rank[v], t) for v, t, _ in self.adjacency[u]] for u in ids]
+        self._rank = rank
+
     def _run_dijkstra(self, source: int):
-        dist = {source: 0.0}
-        pred: dict[int, int] = {}
-        heap = [(0.0, source)]
-        done = set()
+        if self._rank is None:
+            self._build_index()
+        out = self._out
+        n = len(out)
+        dist = array("d", [INF]) * n
+        pred = array("i", [-1]) * n
+        done = bytearray(n)
+        s = self._rank[source]
+        dist[s] = 0.0
+        # (d, rank) entries pop in the same order as (d, id): ranks keep id order
+        heap = [(0.0, s)]
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            d, u = heapq.heappop(heap)
-            if u in done:
+            d, u = pop(heap)
+            if done[u]:
                 continue
-            done.add(u)
-            for v, t, _ in self.adjacency[u]:
+            done[u] = 1
+            for v, t in out[u]:
                 nd = d + t
-                if nd < dist.get(v, INF):  # strict: equal-cost keeps the earlier pred
+                if nd < dist[v]:  # strict: equal-cost keeps the earlier pred
                     dist[v] = nd
                     pred[v] = u
-                    heapq.heappush(heap, (nd, v))
+                    push(heap, (nd, v))
         self._sp[source] = (dist, pred)
         return dist, pred
 
     def _tables(self, source: int):
-        if source not in self.coords:
-            raise NetworkError(f"unknown node {source}")
         cached = self._sp.get(source)
         if cached is None:
+            if source not in self.coords:
+                raise NetworkError(f"unknown node {source}")
             cached = self._run_dijkstra(source)
         return cached
 
     def shortest_time(self, a: int, b: int) -> float:
-        if b not in self.coords:
-            raise NetworkError(f"unknown node {b}")
-        dist, _ = self._tables(a)
-        return dist.get(b, INF)
+        tables = self._sp.get(a)
+        if tables is None:
+            tables = self._tables(a)
+        try:
+            return tables[0][self._rank[b]]
+        except KeyError:
+            raise NetworkError(f"unknown node {b}") from None
 
     def path(self, a: int, b: int) -> PathResult:
         dist, pred = self._tables(a)
-        if b not in self.coords:
+        j = self._rank.get(b)
+        if j is None:
             raise NetworkError(f"unknown node {b}")
-        if b not in dist:
+        if dist[j] == INF:
             return PathResult(INF, ())
+        ids = self._ids
         seq = [b]
-        while seq[-1] != a:
-            seq.append(pred[seq[-1]])
+        k = pred[j]
+        while k != -1:
+            seq.append(ids[k])
+            k = pred[k]
         seq.reverse()
-        return PathResult(dist[b], tuple(seq))
+        return PathResult(dist[j], tuple(seq))
 
     def path_legs(self, a: int, b: int) -> list[tuple[int, float, float]]:
         """Consecutive (next_node, arc_time, arc_length) legs from a to b."""

@@ -39,7 +39,6 @@ class LpProblem:
     upper: np.ndarray | None = None     # per-variable upper bounds (inf allowed)
     integer: np.ndarray | None = None   # binary marks; requires upper == 1
     maximize: bool = False
-    names: list[str] | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)

@@ -86,24 +86,15 @@ def _virtual_pair_feasible(state: EpochState, r1: Request, r2: Request) -> bool:
 def build_shareability_graph(state: EpochState) -> ShareabilityGraph:
     graph = ShareabilityGraph()
     rids = state.request_ids()
-    pairs = [(a, b) for i, a in enumerate(rids) for b in rids[i + 1:]]
-    flags = state.fanout(
-        lambda ab: _virtual_pair_feasible(state, state.requests[ab[0]], state.requests[ab[1]]),
-        pairs)
-    for (a, b), ok in zip(pairs, flags):
-        if ok:
-            graph.rr.add(frozenset((a, b)))
-
-    def probe(args):
-        vid, rid = args
-        veh = state.vehicles[vid]
-        route, cost = state.plan(veh, [rid])
-        return (vid, rid, cost if route is not None else INF)
-
-    probes = [(vid, rid) for vid in state.vehicle_ids() for rid in rids]
-    for vid, rid, cost in state.fanout(probe, probes):
-        if cost < INF:
-            graph.rv[(vid, rid)] = cost
+    for i, a in enumerate(rids):
+        for b in rids[i + 1:]:
+            if _virtual_pair_feasible(state, state.requests[a], state.requests[b]):
+                graph.rr.add(frozenset((a, b)))
+    for vid in state.vehicle_ids():
+        for rid in rids:
+            route, cost = state.plan(state.vehicles[vid], [rid])
+            if route is not None and cost < INF:
+                graph.rv[(vid, rid)] = cost
     return graph
 
 

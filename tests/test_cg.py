@@ -138,3 +138,13 @@ def test_cg_never_beats_rtv(seed):
     rtv_sol = rtv_assign(make_state(net, vehicles, requests, now=60.0))
     validate_solution(make_state(net, vehicles, requests, now=60.0), cg_sol)
     assert rtv_sol.objective <= cg_sol.objective + 1e-9
+
+
+def test_empty_epoch_keeps_status_quo():
+    # no requests and no incumbent: the column pool stays empty, so there is no
+    # integer program to solve
+    state = small_state([(0.0, 0.0)], [])
+    assert RestrictedMaster(state).solve_ilp() == []
+    sol = cg_assign(state)
+    validate_solution(state, sol)
+    assert sol.assigned == {} and sol.unserved == set()

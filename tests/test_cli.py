@@ -149,3 +149,8 @@ def test_env_var_default_config(tmp_path, monkeypatch):
     assert rc == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["algo"] == "la-mr"
+
+
+def test_removed_threads_key_rejected():
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config(None, {"threads": "2"})

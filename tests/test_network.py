@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ridepool.network import (INF, NetworkError, euclidean_network, load_network)
+from ridepool.network import (INF, Network, NetworkError, euclidean_network,
+                              load_network)
 
 
 def test_minimal_graph():
@@ -126,3 +127,44 @@ def test_path_legs_consistent(fig_net):
 def test_length_defaults_to_time():
     net = load_network([(0, None, None), (1, None, None)], [(0, 1, 12.5)])
     assert net.arc(0, 1) == (12.5, 12.5)
+
+
+def test_mutation_after_finish_rejected():
+    net = load_network([(0, None, None), (1, None, None), (2, None, None)],
+                       [(0, 1, 10.0), (1, 2, 10.0), (0, 2, 25.0)])
+    assert net.shortest_time(0, 2) == 20.0
+    with pytest.raises(NetworkError, match="read-only"):
+        net.add_arc(0, 2, 5.0)
+    with pytest.raises(NetworkError, match="read-only"):
+        net.add_node(3)
+    assert net.shortest_time(0, 2) == 20.0
+    assert net.nodes == [0, 1, 2]
+
+
+def test_first_query_closes_an_unfinished_network():
+    net = Network()
+    for i in range(3):
+        net.add_node(i)
+    net.add_arc(0, 2, 9.0)
+    net.add_arc(0, 1, 4.0)
+    net.add_arc(1, 2, 5.0)
+    assert net.path(0, 2).node_sequence == (0, 2)  # a tie keeps the first relaxation
+    with pytest.raises(NetworkError, match="read-only"):
+        net.add_node(3)
+
+
+def test_unknown_query_nodes_rejected():
+    net = load_network([(0, None, None), (1, None, None)], [(0, 1, 10.0)])
+    for query in (net.shortest_time, net.path):
+        with pytest.raises(NetworkError, match="unknown node 7"):
+            query(0, 7)
+        with pytest.raises(NetworkError, match="unknown node 7"):
+            query(7, 0)
+
+
+def test_unreachable_path_is_empty():
+    net = load_network([(0, None, None), (1, None, None)], [(1, 0, 3.0)])
+    assert net.path(0, 1).node_sequence == ()
+    assert net.path(0, 1).total_time == INF
+    assert net.path(1, 0).node_sequence == (1, 0)
+    assert net.path(1, 1).node_sequence == (1,)
